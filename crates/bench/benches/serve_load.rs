@@ -30,10 +30,6 @@ use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{read_trajectory_csv, write_trajectory_csv};
 use stmaker_server::{ServeConfig, Server};
 
-/// Route slots in the serving cache — above the distinct pair count of
-/// the corpus, so warm passes measure hits rather than eviction churn.
-const CACHE_CAPACITY: usize = 256;
-
 fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
@@ -121,8 +117,7 @@ fn main() {
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     obs.gauge("bench.host_cpus", host_cpus as f64); // cast-ok: CPU count
 
-    let base_cfg =
-        SummarizerConfig::default().with_route_cache(CACHE_CAPACITY).with_recorder(obs.clone());
+    let base_cfg = SummarizerConfig::default().with_recorder(obs.clone());
     let server = Server::bind(&world.net, &world.registry, model, base_cfg, ServeConfig::default())
         .expect("bind loopback");
 

@@ -26,7 +26,7 @@
 //! always the value the underlying computation would produce. Eviction
 //! therefore affects *latency only* — a cached and an uncached run return
 //! byte-identical results at any thread count, which is the contract the
-//! summarizer's `--route-cache` flag rides on (see DESIGN.md §12).
+//! summarizer's always-on route cache rides on (see DESIGN.md §12).
 //! Under concurrency the per-shard interleaving (and hence hit counts)
 //! may vary; cache *contents* remain a subset of the pure function's
 //! graph, so results never do.

@@ -26,7 +26,8 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stmaker::{
-    standard_features, FeatureWeights, Recorder, SpatialIndexKind, Summarizer, SummarizerConfig,
+    standard_features, FeatureWeights, Recorder, SpatialIndexKind, SummarizeError, Summarizer,
+    SummarizerConfig,
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
@@ -52,10 +53,6 @@ struct Obs {
     /// Ingest-hardening policy for trip files (`--sanitize POLICY`); `None`
     /// means strict parsing with no repair.
     sanitize: Option<SanitizePolicy>,
-    /// Capacity of the read-through route cache on the serving path
-    /// (`--route-cache N`); 0 = disabled. Purely a latency knob — results
-    /// are byte-identical either way.
-    route_cache: usize,
     /// Spatial index backend for calibration and map matching
     /// (`--spatial-index rtree|grid`); R-tree by default, grid kept as the
     /// byte-identical escape hatch.
@@ -72,8 +69,7 @@ struct Obs {
 impl Obs {
     /// Extracts `--trace` / `--metrics-json PATH` / `--trace-out FILE` /
     /// `--trace-clock SRC` / `--threads N` / `--sanitize POLICY` /
-    /// `--route-cache N` / `--spatial-index KIND` from `args` (removing
-    /// them) and builds the
+    /// `--spatial-index KIND` from `args` (removing them) and builds the
     /// matching recorder: journal-backed if `--trace-out` is present,
     /// enabled if another tracing flag is, the zero-cost no-op otherwise.
     fn extract(args: &mut Vec<String>) -> Result<Self, String> {
@@ -81,7 +77,6 @@ impl Obs {
         let mut metrics_json = None;
         let mut threads = 0usize;
         let mut sanitize = None;
-        let mut route_cache = 0usize;
         let mut spatial_index = SpatialIndexKind::default();
         let mut trace_out = None;
         let mut trace_clock = TraceClock::default();
@@ -131,15 +126,6 @@ impl Obs {
                     let v = args.remove(i);
                     sanitize = Some(v.parse::<SanitizePolicy>()?);
                 }
-                "--route-cache" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("missing capacity after --route-cache".to_owned());
-                    }
-                    let v = args.remove(i);
-                    route_cache =
-                        v.parse().map_err(|_| format!("bad value for --route-cache: {v:?}"))?;
-                }
                 "--spatial-index" => {
                     args.remove(i);
                     if i >= args.len() {
@@ -163,7 +149,6 @@ impl Obs {
             metrics_json,
             threads,
             sanitize,
-            route_cache,
             spatial_index,
             trace_out,
             trace_clock,
@@ -288,9 +273,6 @@ fn print_usage() {
          \x20                      repair | drop (defects counted to stderr;\n  \
          \x20                      without the flag, parsing is strict and\n  \
          \x20                      defective files are rejected with an error)\n  \
-         --route-cache N        read-through serving cache holding N routes\n  \
-         \x20                      (0 = off, the default; summaries are\n  \
-         \x20                      byte-identical with and without it)\n  \
          --spatial-index KIND   spatial index for calibration and map\n  \
          \x20                      matching: rtree (default) | grid; purely a\n  \
          \x20                      latency knob — candidate sets and summaries\n  \
@@ -333,7 +315,6 @@ struct Stack {
     world: World,
     recorder: Recorder,
     threads: usize,
-    route_cache: usize,
     spatial_index: SpatialIndexKind,
 }
 
@@ -348,7 +329,6 @@ impl Stack {
             world,
             recorder: obs.recorder.clone(),
             threads: obs.threads,
-            route_cache: obs.route_cache,
             spatial_index: obs.spatial_index,
         }
     }
@@ -359,7 +339,6 @@ impl Stack {
         SummarizerConfig::default()
             .with_recorder(self.recorder.clone())
             .with_threads(self.threads)
-            .with_route_cache(self.route_cache)
             .with_spatial_index(self.spatial_index)
     }
 
@@ -386,25 +365,24 @@ impl Stack {
             Some(path) => {
                 eprintln!("loading model {path}…");
                 let model = load_model(path, opts)?;
-                if model.registry_len != 0 && model.registry_len != self.world.registry.len() {
-                    return Err(format!(
-                        "model {path} was trained against a different world \
-                         ({} landmarks vs this world's {}); retrain with `train` \
-                         or point --dir at the world the model came from",
-                        model.registry_len,
-                        self.world.registry.len()
-                    ));
-                }
                 let features = standard_features();
                 let weights = FeatureWeights::uniform(&features);
-                Ok(Summarizer::from_model(
+                Summarizer::try_from_model(
                     &self.world.net,
                     &self.world.registry,
                     model,
                     features,
                     weights,
                     self.config(),
-                ))
+                )
+                .map_err(|e| match e {
+                    SummarizeError::ModelMismatch { model, registry } => format!(
+                        "model {path} was trained against a different world \
+                         ({model} landmarks vs this world's {registry}); retrain with `train` \
+                         or point --dir at the world the model came from"
+                    ),
+                    other => other.to_string(),
+                })
             }
             None => Ok(self.train(300)),
         }
@@ -623,9 +601,8 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
     println!("\n{}", summary.text);
 
     // `--repeat N` re-summarizes the same trip as an N-copy batch: every
-    // copy after the first hits the warm route cache (when enabled), so
-    // the printed hit rate shows what a repeated-pair serving workload
-    // gets out of `--route-cache`.
+    // copy after the first hits the warm route cache, so the printed hit
+    // rate shows what a repeated-pair serving workload gets out of it.
     if repeat > 1 {
         let trips = vec![trip.raw.clone(); repeat];
         let t0 = std::time::Instant::now();
@@ -637,16 +614,14 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
         let elapsed = t0.elapsed();
         let ok = results.iter().filter(|r| r.is_ok()).count();
         eprintln!("\nre-summarized {repeat} copies in {elapsed:.1?} ({ok} ok)");
-        match summarizer.route_cache_stats() {
-            Some(s) => eprintln!(
-                "route cache: {} of {} lookups hit ({:.1}% hit rate), {} evictions",
-                s.hits,
-                s.hits + s.misses,
-                100.0 * s.hit_rate(),
-                s.evictions
-            ),
-            None => eprintln!("route cache disabled (enable with --route-cache N)"),
-        }
+        let s = summarizer.route_cache_stats();
+        eprintln!(
+            "route cache: {} of {} lookups hit ({:.1}% hit rate), {} evictions",
+            s.hits,
+            s.hits + s.misses,
+            100.0 * s.hit_rate(),
+            s.evictions
+        );
     }
     Ok(())
 }

@@ -177,3 +177,29 @@ fn runtime_errors_stay_exit_one() {
     assert_eq!(code, 1, "{stderr}");
     assert!(stderr.contains("error"), "{stderr}");
 }
+
+#[test]
+fn model_from_another_world_is_a_runtime_error() {
+    // Seeds 1 and 2 build worlds with different landmark counts; a model
+    // keyed to one must be refused against the other with a hint, not
+    // reinterpreted.
+    let dir = scratch("foreign_model");
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    let (a, b) = (a.to_str().expect("utf8"), b.to_str().expect("utf8"));
+    let model = format!("{a}/model.json");
+    for (world, seed) in [(a, "1"), (b, "2")] {
+        let (code, _, stderr) = run(&["gen", "--dir", world, "--trips", "1", "--seed", seed]);
+        assert_eq!(code, 0, "{stderr}");
+    }
+    let (code, _, stderr) = run(&["train", "--dir", a, "--out", &model, "--n-train", "5"]);
+    assert_eq!(code, 0, "{stderr}");
+    let (code, stdout, stderr) =
+        run(&["summarize", "--dir", b, "--trip", "trip_000.csv", "--model", &model]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    let expect = format!(
+        "error: model {model} was trained against a different world (119 landmarks vs this \
+         world's 120); retrain with `train` or point --dir at the world the model came from"
+    );
+    assert!(stderr.contains(&expect), "{stderr}");
+}

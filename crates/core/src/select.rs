@@ -41,9 +41,9 @@ pub struct SelectionInput<'a> {
     pub popular_route: Option<&'a [LandmarkId]>,
     /// Historical per-hop feature statistics.
     pub featmap: &'a HistoricalFeatureMap,
-    /// Optional read-through memo for the popular route's per-hop value
-    /// sequences (shared across batch workers); `None` computes per call.
-    pub route_cache: Option<&'a CachedRoutes>,
+    /// Read-through memo for the popular route's per-hop value sequences
+    /// (shared across batch workers).
+    pub route_cache: &'a CachedRoutes,
 }
 
 /// Reusable buffers for [`select_features_with`]: the per-feature value
@@ -80,52 +80,28 @@ pub fn select_features_with(
         scratch.tp_values.clear();
         scratch.tp_values.extend(input.seg_values.iter().map(|v| v[idx]));
 
-        // The popular-route value sequence lives either in the shared memo
-        // (an `Arc` slice, no copy) or in a per-call vector; both borrows
-        // must outlive `pr_values` below, hence the two deferred locals.
-        let cached_vals;
-        let computed_vals;
         let (gamma, regular) = match f.kind() {
             FeatureKind::Routing => {
                 let Some(pr) = input.popular_route else { continue };
-                let pr_values: &[f64] = match input.route_cache {
-                    Some(cache) => {
-                        cached_vals = cache.route_values(
-                            input.featmap,
-                            pr,
-                            f.key(),
-                            f.scale(),
-                            idx as u32, // cast-ok: feature index, tiny
-                        );
-                        match &cached_vals {
-                            Some(v) => v,
-                            // Some PR hop has no history for this feature
-                            // (possible when a custom feature was added
-                            // after training): comparing against a
-                            // truncated sequence would read as a spurious
-                            // length mismatch, so skip the feature instead.
-                            None => continue,
-                        }
-                    }
-                    None => {
-                        computed_vals = popular_route_values(input.featmap, pr, f.key(), f.scale());
-                        match &computed_vals {
-                            Some(v) => v,
-                            None => continue,
-                        }
-                    }
-                };
+                let feat_idx = idx as u32; // cast-ok: feature index, tiny
+                let values =
+                    input.route_cache.route_values(input.featmap, pr, f.key(), f.scale(), feat_idx);
+                // `None`: some PR hop has no history for this feature
+                // (possible when a custom feature was added after
+                // training). Comparing against a truncated sequence would
+                // read as a spurious length mismatch, so skip the feature.
+                let Some(pr_values) = values else { continue };
                 if pr_values.is_empty() {
                     continue; // single-landmark popular route: nothing to compare
                 }
                 let gamma = routing_irregular_rate_with(
                     &scratch.tp_values,
-                    pr_values,
+                    &pr_values,
                     f.scale(),
                     w,
                     &mut scratch.edit,
                 );
-                (gamma, aggregate(pr_values, f.scale()))
+                (gamma, aggregate(&pr_values, f.scale()))
             }
             FeatureKind::Moving => {
                 scratch.regulars.clear();
@@ -326,7 +302,7 @@ mod tests {
             hops: &fx.hops,
             popular_route: Some(&fx.route),
             featmap: &fx.featmap,
-            route_cache: None,
+            route_cache: &CachedRoutes::default(),
         })
     }
 
@@ -380,7 +356,7 @@ mod tests {
             hops: &fx.hops,
             popular_route: None,
             featmap: &fx.featmap,
-            route_cache: None,
+            route_cache: &CachedRoutes::default(),
         });
         assert!(sel.iter().all(|s| s.kind == FeatureKind::Moving));
     }
@@ -434,7 +410,7 @@ mod tests {
             hops: &hops,
             popular_route: None,
             featmap: &featmap,
-            route_cache: None,
+            route_cache: &CachedRoutes::default(),
         });
         assert_eq!(sel.len(), 1, "{sel:?}");
         assert_eq!(sel[0].key, "signal_state");

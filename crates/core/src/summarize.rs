@@ -20,7 +20,6 @@ use crate::select::{select_features_with, SelectScratch, SelectedFeature, Select
 use crate::similarity::consecutive_similarities;
 use crate::template::{render_partition_sentence, PartitionFacts};
 use std::cell::RefCell;
-use std::sync::Arc;
 use std::time::Instant;
 
 use stmaker_cache::CacheStats;
@@ -57,12 +56,6 @@ pub struct SummarizerConfig {
     /// [`std::thread::available_parallelism`]. Thread count never changes
     /// results: see `stmaker-exec`'s determinism contract.
     pub threads: usize,
-    /// Capacity (in routes) of the read-through serving cache memoizing
-    /// `PR(from, to)` and the per-hop regular value sequences; `0` (the
-    /// default) disables it — a disabled cache costs one branch on the
-    /// query path. Lookups are pure, so the cache never changes output
-    /// bytes, only latency (DESIGN.md §12).
-    pub route_cache: usize,
     /// Spatial index backend for the map-matching candidate pre-filter
     /// (R-tree by default; the grid is the `--spatial-index grid` escape
     /// hatch). Purely a latency knob: candidate sets, models and summaries
@@ -86,7 +79,6 @@ impl Default for SummarizerConfig {
             matching: MatchParams::default(),
             popular: PopularRouteConfig::default(),
             threads: 0,
-            route_cache: 0,
             spatial_index: SpatialIndexKind::default(),
             recorder: Recorder::disabled(),
         }
@@ -107,15 +99,6 @@ impl SummarizerConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables the read-through route cache with room for `capacity`
-    /// routes (builder style); `0` disables it. Purely a latency knob:
-    /// summaries are byte-identical with and without it.
-    #[must_use]
-    pub fn with_route_cache(mut self, capacity: usize) -> Self {
-        self.route_cache = capacity;
         self
     }
 
@@ -214,7 +197,7 @@ pub struct TrainedModel {
     /// Size of the landmark registry the model was trained against.
     /// Landmark ids are positional, so loading a model against a registry of
     /// a different size would silently rename every landmark;
-    /// [`Summarizer::from_model`] rejects the mismatch. 0 in models saved by
+    /// [`Summarizer::try_from_model`] rejects the mismatch. 0 in models saved by
     /// older versions (check skipped).
     #[serde(default)]
     pub registry_len: usize,
@@ -297,14 +280,9 @@ pub struct Summarizer<'a> {
     cfg: SummarizerConfig,
     model: TrainedModel,
     /// Read-through memo for `PR(from, to)` and per-hop value sequences,
-    /// shared across batch workers; `None` unless
-    /// [`SummarizerConfig::with_route_cache`] enabled it.
-    route_cache: Option<Arc<CachedRoutes>>,
-}
-
-/// The route cache a config asks for (`None` when disabled).
-fn build_route_cache(cfg: &SummarizerConfig) -> Option<Arc<CachedRoutes>> {
-    (cfg.route_cache > 0).then(|| Arc::new(CachedRoutes::new(cfg.route_cache)))
+    /// shared across batch workers. Memoizes the current `model` only:
+    /// replaced whenever the model is.
+    route_cache: CachedRoutes,
 }
 
 /// Checks that `model` was trained against a registry of `registry`'s size
@@ -402,8 +380,7 @@ impl<'a> Summarizer<'a> {
         obs.add("train.trajectories_skipped", skipped);
         let popular = PopularRoutes::build_with(&symbolics, cfg.popular, &exec);
         // Reuse the matcher built for extraction instead of indexing the
-        // network's edge geometry a second time via from_model.
-        let route_cache = build_route_cache(&cfg);
+        // network's edge geometry a second time via try_from_model.
         Self {
             net,
             registry,
@@ -412,36 +389,16 @@ impl<'a> Summarizer<'a> {
             weights,
             cfg,
             model: TrainedModel { popular, featmap, n_trained, registry_len: registry.len() },
-            route_cache,
+            route_cache: CachedRoutes::default(),
         }
     }
 
     /// Assembles a summarizer around an existing (e.g. loaded) model.
     ///
-    /// # Panics
-    /// Panics if the model records a registry size different from
-    /// `registry`'s — landmark ids are positional, and a mismatched registry
-    /// would silently reinterpret every landmark in the model.
-    pub fn from_model(
-        net: &'a RoadNetwork,
-        registry: &'a LandmarkRegistry,
-        model: TrainedModel,
-        features: FeatureSet,
-        weights: FeatureWeights,
-        cfg: SummarizerConfig,
-    ) -> Self {
-        assert!(
-            model.registry_len == 0 || model.registry_len == registry.len(),
-            "model was trained against a {}-landmark registry, got {} landmarks",
-            model.registry_len,
-            registry.len()
-        );
-        Self::assemble(net, registry, model, features, weights, cfg)
-    }
-
-    /// Fallible [`Self::from_model`]: a registry-size mismatch is a
-    /// [`SummarizeError::ModelMismatch`] instead of a panic — the form a
-    /// serving process loading operator-supplied model files wants.
+    /// A model that records a registry size different from `registry`'s
+    /// is a [`SummarizeError::ModelMismatch`]: landmark ids are positional,
+    /// and a mismatched registry would silently reinterpret every landmark
+    /// in the model.
     pub fn try_from_model(
         net: &'a RoadNetwork,
         registry: &'a LandmarkRegistry,
@@ -451,21 +408,10 @@ impl<'a> Summarizer<'a> {
         cfg: SummarizerConfig,
     ) -> Result<Self, SummarizeError> {
         check_model(&model, registry)?;
-        Ok(Self::assemble(net, registry, model, features, weights, cfg))
-    }
-
-    fn assemble(
-        net: &'a RoadNetwork,
-        registry: &'a LandmarkRegistry,
-        model: TrainedModel,
-        features: FeatureSet,
-        weights: FeatureWeights,
-        cfg: SummarizerConfig,
-    ) -> Self {
         assert_eq!(weights.as_slice().len(), features.len(), "weights must match feature set");
         let matcher = MapMatcher::with_index(net, cfg.matching, cfg.spatial_index);
-        let route_cache = build_route_cache(&cfg);
-        Self { net, registry, matcher, features, weights, cfg, model, route_cache }
+        let route_cache = CachedRoutes::default();
+        Ok(Self { net, registry, matcher, features, weights, cfg, model, route_cache })
     }
 
     /// Replaces the trained model in place — the hot-swap primitive the
@@ -476,7 +422,7 @@ impl<'a> Summarizer<'a> {
     /// model. Rejects a model trained against a different-sized registry.
     pub fn swap_model(&mut self, model: TrainedModel) -> Result<(), SummarizeError> {
         check_model(&model, self.registry)?;
-        self.route_cache = build_route_cache(&self.cfg);
+        self.route_cache = CachedRoutes::default();
         self.model = model;
         Ok(())
     }
@@ -516,18 +462,16 @@ impl<'a> Summarizer<'a> {
         self.weights = weights;
     }
 
-    /// Replaces the selection threshold / partition constants. Rebuilds
-    /// the route cache to match the new capacity (memoized answers are
-    /// pure, so dropping them is always safe).
+    /// Replaces the selection threshold / partition constants. The route
+    /// cache stays: it memoizes the model, which no config field changes.
     pub fn set_config(&mut self, cfg: SummarizerConfig) {
-        self.route_cache = build_route_cache(&cfg);
         self.cfg = cfg;
     }
 
-    /// Counter snapshot of the route cache (`None` when the cache is
-    /// disabled) — what `demo --repeat` prints its hit rate from.
-    pub fn route_cache_stats(&self) -> Option<CacheStats> {
-        self.route_cache.as_ref().map(|c| c.stats())
+    /// Counter snapshot of the route cache — what `demo --repeat` prints
+    /// its hit rate from.
+    pub fn route_cache_stats(&self) -> CacheStats {
+        self.route_cache.stats()
     }
 
     /// Step 1 + feature extraction: calibrate and extract, reusable across
@@ -626,7 +570,7 @@ impl<'a> Summarizer<'a> {
     ) -> Vec<Result<Summary, SummarizeError>> {
         let obs = &self.cfg.recorder;
         let _root = obs.span("summarize_batch");
-        let cache_before = self.route_cache.as_ref().map(|c| c.stats());
+        let cache_before = self.route_cache.stats();
         let exec = Executor::new(self.cfg.threads).with_recorder(obs.clone());
         // Workers run the pipeline against a private recorder (cross-thread
         // span opens would interleave nondeterministically in the shared
@@ -663,7 +607,7 @@ impl<'a> Summarizer<'a> {
     ) -> Vec<Result<Summary, SummarizeError>> {
         let obs = &self.cfg.recorder;
         let _root = obs.span("summarize_batch");
-        let cache_before = self.route_cache.as_ref().map(|c| c.stats());
+        let cache_before = self.route_cache.stats();
         let exec = Executor::new(self.cfg.threads).with_recorder(obs.clone());
         let detailed = obs.is_enabled();
         let timed = exec.par_map(trips, |_, points| {
@@ -683,10 +627,9 @@ impl<'a> Summarizer<'a> {
 
     /// Emits the route cache's counter deltas for one batch —
     /// `cache.hits`/`cache.misses`/`cache.evictions` plus the
-    /// `route_cache.capacity` gauge — into the shared recorder. A no-op
-    /// when the cache is disabled.
-    fn record_cache_delta(&self, before: Option<CacheStats>) {
-        let (Some(cache), Some(before)) = (&self.route_cache, before) else { return };
+    /// `route_cache.capacity` gauge — into the shared recorder.
+    fn record_cache_delta(&self, before: CacheStats) {
+        let cache = &self.route_cache;
         let obs = &self.cfg.recorder;
         let delta = cache.stats().since(&before);
         obs.add("cache.hits", delta.hits);
@@ -820,17 +763,10 @@ impl<'a> Summarizer<'a> {
             let hops: Vec<(LandmarkId, LandmarkId)> = (span.seg_start..=span.seg_end)
                 .map(|i| (symbolic.points()[i].landmark, symbolic.points()[i + 1].landmark))
                 .collect();
-            // The popular route comes either from the shared memo (an
-            // `Arc` slice — a probe and a refcount bump) or as an owned
-            // vector from the model; both locals must outlive `pr`. A
-            // disabled cache costs exactly this one branch.
+            // The popular route comes from the shared memo: an `Arc` slice,
+            // so a hit is a probe and a refcount bump.
             let _pr_span = obs.span("popular_route");
-            let (pr_owned, pr_cached): (Option<Vec<LandmarkId>>, Option<Arc<[LandmarkId]>>) =
-                match &self.route_cache {
-                    None => (self.model.popular.popular_route(from, to), None),
-                    Some(cache) => (None, cache.popular_route(&self.model.popular, from, to)),
-                };
-            let pr: Option<&[LandmarkId]> = pr_owned.as_deref().or(pr_cached.as_deref());
+            let pr = self.route_cache.popular_route(&self.model.popular, from, to);
             obs.add(if pr.is_some() { "popular_route.hits" } else { "popular_route.misses" }, 1);
             drop(_pr_span);
             let seg_values = &prepared.seg_values[span.seg_start..=span.seg_end];
@@ -843,9 +779,9 @@ impl<'a> Summarizer<'a> {
                     eta: self.cfg.eta,
                     seg_values,
                     hops: &hops,
-                    popular_route: pr,
+                    popular_route: pr.as_deref(),
                     featmap: &self.model.featmap,
-                    route_cache: self.route_cache.as_deref(),
+                    route_cache: &self.route_cache,
                 };
                 let selected =
                     SELECT_SCRATCH.with(|s| select_features_with(&input, &mut s.borrow_mut()));

@@ -192,21 +192,29 @@ impl Response {
         Self::json(status, body)
     }
 
-    /// Serializes onto `stream`; returns the bytes written (for
-    /// `serve.bytes_out`). Write failures are the client's loss — the
-    /// caller counts them but has nobody left to tell.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<u64> {
-        let head = format!(
+    /// The status line and headers, ending in the blank line.
+    fn head(&self) -> String {
+        format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status,
             status_text(self.status),
             self.content_type,
             self.body.len(),
-        );
-        stream.write_all(head.as_bytes())?;
+        )
+    }
+
+    /// Bytes on the wire, head included (for `serve.bytes_out`); known
+    /// before anything is written.
+    pub fn wire_len(&self) -> u64 {
+        (self.head().len() + self.body.len()) as u64 // cast-ok: byte count
+    }
+
+    /// Serializes onto `stream`. Write failures are the client's loss —
+    /// the caller has nobody left to tell.
+    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+        stream.write_all(self.head().as_bytes())?;
         stream.write_all(&self.body)?;
-        stream.flush()?;
-        Ok((head.len() + self.body.len()) as u64)
+        stream.flush()
     }
 }
 

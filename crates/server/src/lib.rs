@@ -32,15 +32,14 @@
 //! The model slot is `Mutex<Arc<Generation>>` (ArcSwap-style: writers
 //! swap the `Arc`, readers clone it and work lock-free afterwards). Each
 //! [`Generation`] owns its *own* [`Summarizer`] — and therefore its own
-//! `CachedRoutes`, built fresh by [`Summarizer::try_from_model`]. That is
-//! the fix for the cache-staleness bug this PR headlines: route-cache
-//! entries are keyed by landmark pair, not model identity (including
-//! memoized *negative* answers), so a swapped-in model must never see the
-//! previous generation's cache. Swapping the whole generation atomically
-//! makes stale reuse structurally impossible: in-flight requests finish
-//! against the generation they started with, new requests see the new
-//! model with a cold cache. See `cached_routes` ("one cache, one model")
-//! and DESIGN.md §15.
+//! `CachedRoutes`, built fresh by [`Summarizer::try_from_model`]. Route
+//! cache entries are keyed by landmark pair, not model identity
+//! (including memoized *negative* answers), so a swapped-in model must
+//! never see the previous generation's cache. Swapping the whole
+//! generation atomically makes stale reuse structurally impossible:
+//! in-flight requests finish against the generation they started with,
+//! new requests see the new model with a fresh cache. See
+//! `cached_routes` ("one cache, one model") and DESIGN.md §15.
 //!
 //! # Backpressure
 //!
@@ -184,8 +183,8 @@ impl BodyFormat {
 /// rejection paths answer *before* reading the request, so they would hit
 /// exactly that. Send FIN first, then drain (bounded) until the peer
 /// closes.
-fn respond_and_close(mut stream: TcpStream, resp: &Response) -> u64 {
-    let n = resp.write_to(&mut stream).unwrap_or(0);
+fn respond_and_close(mut stream: TcpStream, resp: &Response) {
+    let _ = resp.write_to(&mut stream);
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut sink = [0u8; 4096];
@@ -195,7 +194,6 @@ fn respond_and_close(mut stream: TcpStream, resp: &Response) -> u64 {
             Ok(_) => continue,
         }
     }
-    n
 }
 
 /// Poison-absorbing lock helper (the `stmaker-cache` idiom): a poisoned
@@ -225,7 +223,7 @@ pub struct Server<'w> {
     registry: &'w LandmarkRegistry,
     cfg: ServeConfig,
     /// Template config each generation's summarizer is assembled from
-    /// (threads, route-cache size, spatial index, recorder).
+    /// (threads, spatial index, recorder).
     base_cfg: SummarizerConfig,
     listener: TcpListener,
     addr: SocketAddr,
@@ -241,9 +239,8 @@ impl<'w> Server<'w> {
     /// Binds the listen socket and installs `model` as generation 1.
     ///
     /// `base_cfg` carries the serving-path knobs every generation shares —
-    /// threads, `--route-cache` capacity, spatial index, recorder; the
-    /// feature set is the standard one with uniform weights, matching the
-    /// CLI serving path.
+    /// threads, spatial index, recorder; the feature set is the standard
+    /// one with uniform weights, matching the CLI serving path.
     pub fn bind(
         net: &'w RoadNetwork,
         registry: &'w LandmarkRegistry,
@@ -403,18 +400,19 @@ impl<'w> Server<'w> {
                 Response::error(status, &e.to_string())
             }
         };
+        // Everything about this request is recorded before its first
+        // byte is written: a client that has read the response and then
+        // scrapes `/metrics` (on any worker) must find it counted.
         match resp.status {
             200..=299 => self.obs.add("serve.responses_ok", 1),
             500..=599 => self.obs.add("serve.responses_server_error", 1),
             _ => self.obs.add("serve.responses_client_error", 1),
         }
-        let written = respond_and_close(stream, &resp);
-        if written > 0 {
-            self.obs.add("serve.bytes_out", written);
-        }
+        self.obs.add("serve.bytes_out", resp.wire_len());
         let dt = t0.elapsed();
         self.obs.observe_ms("serve.request_ms", dt.as_secs_f64() * 1e3);
         self.obs.span_observed("serve.request", dt);
+        respond_and_close(stream, &resp);
     }
 
     // -- generation slot ---------------------------------------------------
@@ -510,12 +508,11 @@ impl<'w> Server<'w> {
             200,
             format!(
                 "{{\"model_version\": {}, \"n_trained\": {}, \"registry_len\": {}, \
-                 \"threads\": {}, \"route_cache\": {}, \"workers\": {}, \"queue_depth\": {}}}\n",
+                 \"threads\": {}, \"workers\": {}, \"queue_depth\": {}}}\n",
                 gen.version,
                 model.n_trained,
                 self.registry.len(),
                 cfg.threads,
-                cfg.route_cache,
                 self.worker_count(),
                 self.cfg.queue_depth,
             ),

@@ -99,7 +99,10 @@ fn with_running<'w, F: FnOnce(SocketAddr)>(server: &Server<'w>, f: F) {
 
 // -- tiny HTTP client -------------------------------------------------------
 
-fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+/// Sends one request and reads the whole response (the server half-closes
+/// after it). Returns the still-open connection and the raw response
+/// bytes, head included.
+fn exchange(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (TcpStream, Vec<u8>) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     let head =
@@ -108,6 +111,15 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec
     s.write_all(body).expect("write body");
     let mut raw = Vec::new();
     s.read_to_end(&mut raw).expect("read response");
+    (s, raw)
+}
+
+fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+    parse_response(&exchange(addr, method, path, body).1)
+}
+
+/// Splits a raw response into its status code and body.
+fn parse_response(raw: &[u8]) -> (u16, Vec<u8>) {
     let text_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("response head");
     let status: u16 = std::str::from_utf8(&raw[..text_end])
         .expect("ascii head")
@@ -127,7 +139,7 @@ fn body_text(body: &[u8]) -> String {
 
 /// Satellite 4: N client threads against `/summarize` and
 /// `/summarize_batch` get bytes identical to the sequential CLI path, at
-/// threads 1/2/4, with and without the route cache.
+/// threads 1/2/4.
 #[test]
 fn concurrent_clients_get_cli_identical_bytes() {
     let fx = Fixture::new();
@@ -145,51 +157,47 @@ fn concurrent_clients_get_cli_identical_bytes() {
         .collect();
 
     for threads in [1usize, 2, 4] {
-        for route_cache in [0usize, 64] {
-            let base_cfg =
-                SummarizerConfig::default().with_threads(threads).with_route_cache(route_cache);
-            let server = Server::bind(
-                &fx.world.net,
-                &fx.world.registry,
-                fx.train(60, 1001),
-                base_cfg,
-                ServeConfig::default(),
-            )
-            .expect("bind");
-            with_running(&server, |addr| {
-                std::thread::scope(|s| {
-                    for _client in 0..3 {
-                        s.spawn(|| {
-                            for (csv, expect) in fx.trip_csvs.iter().zip(&reference) {
-                                let (status, body) =
-                                    request(addr, "POST", "/summarize", csv.as_bytes());
-                                match expect {
-                                    Some(text) => {
-                                        assert_eq!(status, 200, "{}", body_text(&body));
-                                        assert_eq!(&body_text(&body), text);
-                                    }
-                                    None => assert_eq!(status, 422),
+        let base_cfg = SummarizerConfig::default().with_threads(threads);
+        let server = Server::bind(
+            &fx.world.net,
+            &fx.world.registry,
+            fx.train(60, 1001),
+            base_cfg,
+            ServeConfig::default(),
+        )
+        .expect("bind");
+        with_running(&server, |addr| {
+            std::thread::scope(|s| {
+                for _client in 0..3 {
+                    s.spawn(|| {
+                        for (csv, expect) in fx.trip_csvs.iter().zip(&reference) {
+                            let (status, body) =
+                                request(addr, "POST", "/summarize", csv.as_bytes());
+                            match expect {
+                                Some(text) => {
+                                    assert_eq!(status, 200, "{}", body_text(&body));
+                                    assert_eq!(&body_text(&body), text);
                                 }
+                                None => assert_eq!(status, 422),
                             }
-                        });
-                    }
-                });
-                // Trips separated by blank lines; one line per trip, index
-                // aligned, errors inline.
-                let (status, body) =
-                    request(addr, "POST", "/summarize_batch", batch_body.as_bytes());
-                assert_eq!(status, 200);
-                let got = body_text(&body);
-                for (line, expect) in got.lines().zip(batch_reference.lines()) {
-                    if expect == "error" {
-                        assert!(line.starts_with("error:"), "{line}");
-                    } else {
-                        assert_eq!(line, expect, "threads={threads} cache={route_cache}");
-                    }
+                        }
+                    });
                 }
-                assert_eq!(got.lines().count(), fx.trip_csvs.len());
             });
-        }
+            // Trips separated by blank lines; one line per trip, index
+            // aligned, errors inline.
+            let (status, body) = request(addr, "POST", "/summarize_batch", batch_body.as_bytes());
+            assert_eq!(status, 200);
+            let got = body_text(&body);
+            for (line, expect) in got.lines().zip(batch_reference.lines()) {
+                if expect == "error" {
+                    assert!(line.starts_with("error:"), "{line}");
+                } else {
+                    assert_eq!(line, expect, "threads={threads}");
+                }
+            }
+            assert_eq!(got.lines().count(), fx.trip_csvs.len());
+        });
     }
 }
 
@@ -205,12 +213,11 @@ fn hot_swap_serves_cold_cache_bytes() {
     let model_b_json = model_b.to_json();
 
     let cold_b = {
-        let summarizer =
-            fx.summarizer(fx.train(8, 5005), SummarizerConfig::default().with_route_cache(64));
+        let summarizer = fx.summarizer(fx.train(8, 5005), SummarizerConfig::default());
         fx.reference_texts(&summarizer)
     };
     let warm_a = {
-        let summarizer = fx.summarizer(model_a, SummarizerConfig::default().with_route_cache(64));
+        let summarizer = fx.summarizer(model_a, SummarizerConfig::default());
         fx.reference_texts(&summarizer)
     };
     assert_ne!(warm_a, cold_b, "models must disagree for the test to have teeth");
@@ -219,7 +226,7 @@ fn hot_swap_serves_cold_cache_bytes() {
         &fx.world.net,
         &fx.world.registry,
         fx.train(60, 1001),
-        SummarizerConfig::default().with_route_cache(64),
+        SummarizerConfig::default(),
         ServeConfig::default(),
     )
     .expect("bind");
@@ -420,6 +427,51 @@ fn metrics_reports_serve_counters() {
         assert!(report.counters.get("serve.bytes_out").copied().unwrap_or(0) > body.len() as u64);
         assert!(report.histograms.contains_key("serve.request_ms"), "latency histogram");
         assert!(report.gauges.contains_key("serve.model_version"));
+    });
+}
+
+/// Every response a client has read is counted by the next `/metrics`
+/// scrape: responses, bytes out, the `serve.request` span and the
+/// `serve.request_ms` histogram are all recorded before the response's
+/// first byte is written. The client keeps each `/summarize` connection
+/// open until after its scrape, so the worker that served it is still
+/// draining that connection while the second worker answers the scrape —
+/// with one worker the scrape would wait behind the drain and could not
+/// tell recording before the write from recording after it.
+#[test]
+fn metrics_scrape_counts_every_completed_response() {
+    let fx = Fixture::new();
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(20, 1001),
+        SummarizerConfig::default().with_recorder(Recorder::enabled()),
+        ServeConfig { workers: 2, ..ServeConfig::default() },
+    )
+    .expect("bind");
+    with_running(&server, |addr| {
+        let mut bytes_read = 0u64;
+        for i in 0..50u64 {
+            let (held, raw) = exchange(addr, "POST", "/summarize", fx.trip_csvs[0].as_bytes());
+            assert_eq!(parse_response(&raw).0, 200);
+            bytes_read += raw.len() as u64;
+            let (_scrape, raw) = exchange(addr, "GET", "/metrics", b"");
+            let (status, body) = parse_response(&raw);
+            assert_eq!(status, 200);
+            let report = stmaker_obs::Report::from_json(&body_text(&body)).expect("parses");
+            // Before this scrape: i + 1 summaries and i earlier scrapes.
+            let completed = 2 * i + 1;
+            let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
+            assert_eq!(counter("serve.responses_ok"), completed, "scrape {i}");
+            assert_eq!(counter("serve.bytes_out"), bytes_read, "scrape {i}");
+            let hist = report.histograms.get("serve.request_ms").map_or(0, |h| h.count);
+            assert_eq!(hist, completed, "scrape {i}: serve.request_ms");
+            let span =
+                report.spans.iter().find(|n| n.name == "serve.request").map_or(0, |n| n.calls);
+            assert_eq!(span, completed, "scrape {i}: serve.request span");
+            bytes_read += raw.len() as u64;
+            drop(held);
+        }
     });
 }
 
