@@ -1,12 +1,10 @@
 //! Telemetry-emitting pipeline run: summarizes a small corpus with an
 //! enabled `stmaker-obs` recorder and writes the aggregated report —
-//! the same JSON schema as the CLI's `--metrics-json` and the eval
-//! crate's Fig. 12 binary — to `BENCH_obs.json` (override with
-//! `STMAKER_OBS_OUT`). `cargo xtask obs-schema BENCH_obs.json` validates
-//! the result.
-//!
-//! This is a plain `harness = false` binary rather than a Criterion
-//! bench: the deliverable is the report file, not a timing estimate.
+//! the same JSON schema as the CLI's `--metrics-json` — to
+//! `BENCH_obs.json` (override with `STMAKER_OBS_OUT`). It is the only
+//! producer of that committed baseline, which CI's `obs diff` gate
+//! compares fresh runs against; `cargo xtask obs-schema BENCH_obs.json`
+//! validates the result.
 
 use stmaker::{standard_features, FeatureWeights, SummarizerConfig};
 use stmaker_eval::{ExperimentScale, Harness};

@@ -1,1 +1,2 @@
-//! Criterion benchmark crate; see the `benches/` directory.
+//! Benchmark crate: each `benches/` target is a `harness = false` binary
+//! that writes its measurements as a `stmaker-obs` report (`BENCH_*.json`).

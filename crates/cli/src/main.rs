@@ -189,32 +189,49 @@ fn main() -> ExitCode {
     if args.first().map(|s| s.as_str()) == Some("obs") {
         return cmd_obs(&args[1..]);
     }
-    let result = Obs::extract(&mut args).and_then(|obs| {
-        let r = match args.first().map(|s| s.as_str()) {
-            Some("demo") => cmd_demo(&args[1..], &obs),
-            Some("gen") => cmd_gen(&args[1..], &obs),
-            Some("convert") => cmd_convert(&args[1..], &obs),
-            Some("train") => cmd_train(&args[1..], &obs),
-            Some("summarize") => cmd_summarize(&args[1..], &obs),
-            Some("sanitize") => cmd_sanitize(&args[1..], &obs),
-            Some("group") => cmd_group(&args[1..], &obs),
-            Some("search") => cmd_search(&args[1..], &obs),
-            Some("serve") => cmd_serve(&args[1..], &obs),
-            Some("help") | Some("--help") | Some("-h") | None => {
-                print_usage();
-                Ok(())
-            }
-            Some(other) => Err(format!("unknown subcommand {other:?}; try `stmaker-cli help`")),
-        };
-        r.and_then(|()| obs.finish())
-    });
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+    let obs = match Obs::extract(&mut args) {
+        Ok(obs) => obs,
+        Err(e) => return runtime_error(&e),
+    };
+    // Each subcommand with the options it reads; `Opts::new` refuses any
+    // other `--x`.
+    type Command = fn(&Opts<'_>, &Obs) -> Result<(), String>;
+    let (cmd, keys): (Command, &[&str]) = match args.first().map(|s| s.as_str()) {
+        Some("demo") => (cmd_demo, &["--seed", "--hour", "--k", "--repeat", "--trip"]),
+        Some("gen") => (cmd_gen, &["--dir", "--trips", "--seed"]),
+        Some("convert") => (cmd_convert, &["--in", "--dir", "--out", "--out-dir", "--to"]),
+        Some("train") => (cmd_train, &["--dir", "--n-train", "--out", "--format"]),
+        Some("summarize") => {
+            (cmd_summarize, &["--dir", "--trip", "--k", "--model", "--format", "--geojson"])
         }
+        Some("sanitize") => (cmd_sanitize, &["--trip", "--max-speed", "--max-gap", "--out"]),
+        Some("group") => (cmd_group, &["--dir", "--min-share", "--model", "--format"]),
+        Some("search") => (cmd_search, &["--dir", "--query", "--top", "--model", "--format"]),
+        Some("serve") => (
+            cmd_serve,
+            &["--dir", "--addr", "--workers", "--queue", "--n-train", "--model", "--format"],
+        ),
+        Some("help") | Some("--help") | Some("-h") | None => {
+            print_usage();
+            return ExitCode::SUCCESS;
+        }
+        Some(other) => {
+            return runtime_error(&format!("unknown subcommand {other:?}; try `stmaker-cli help`"))
+        }
+    };
+    let opts = match Opts::new(&args[1..], keys) {
+        Ok(opts) => opts,
+        Err(e) => return usage_error(&e),
+    };
+    match cmd(&opts, &obs).and_then(|()| obs.finish()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => runtime_error(&e),
     }
+}
+
+fn runtime_error(message: &str) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::FAILURE
 }
 
 fn print_usage() {
@@ -286,8 +303,21 @@ struct Opts<'a> {
 }
 
 impl<'a> Opts<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Self { args }
+    /// Accepts `args` when every `--x` outside a value position is one of
+    /// `keys`, so a misspelt or removed option is an error, not ignored.
+    fn new(args: &'a [String], keys: &[&str]) -> Result<Self, String> {
+        let mut i = 0;
+        while i < args.len() {
+            let arg = args[i].as_str();
+            if keys.contains(&arg) {
+                i += 2;
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown option {arg}; try `stmaker-cli help`"));
+            } else {
+                i += 1;
+            }
+        }
+        Ok(Self { args })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -559,8 +589,7 @@ fn summarize_points_cmd(
     }
 }
 
-fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_demo(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let seed: u64 = opts.parse("--seed", 2024)?;
     let hour: f64 = opts.parse("--hour", 8.5)?;
     let k: usize = opts.parse("--k", 0)?;
@@ -629,8 +658,7 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
 /// Audits (and under repair/drop policies, repairs) a trip file without
 /// summarizing it: prints the defect report, per-segment sizes, and
 /// optionally writes the longest surviving segment back out as CSV.
-fn cmd_sanitize(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_sanitize(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let file = PathBuf::from(opts.require("--trip")?);
     let max_speed: f64 = opts.parse("--max-speed", 70.0)?;
     let max_gap: i64 = opts.parse("--max-gap", 1800)?;
@@ -664,8 +692,7 @@ fn cmd_sanitize(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gen(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_gen(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let dir = PathBuf::from(opts.require("--dir")?);
     let trips: usize = opts.parse("--trips", 20)?;
     let seed: u64 = opts.parse("--seed", 2024)?;
@@ -746,8 +773,7 @@ fn sanitize_run(
 /// through the model codecs; everything else is trips. `--sanitize`
 /// applies the usual repair policy per input trip before writing. Emits
 /// the `io.*` counters (DESIGN.md §13.4) into the global recorder.
-fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_convert(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let out = opts.get("--out").map(PathBuf::from);
     let out_dir = opts.get("--out-dir").map(PathBuf::from);
     if out.is_some() == out_dir.is_some() {
@@ -917,14 +943,13 @@ fn convert_model(
     Ok(())
 }
 
-fn cmd_train(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_train(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let dir = PathBuf::from(opts.require("--dir")?);
     let n_train: usize = opts.parse("--n-train", 300)?;
     let out = opts.get("--out").map(PathBuf::from).unwrap_or_else(|| dir.join("model.json"));
     // `--format` forces the encoding; otherwise an `.stc` extension selects
     // the columnar binary and anything else stays canonical JSON.
-    let format = model_format_opt(&opts)?.unwrap_or(
+    let format = model_format_opt(opts)?.unwrap_or(
         if out.extension().map(|x| x == "stc").unwrap_or(false) {
             ModelFormat::Stc
         } else {
@@ -944,8 +969,7 @@ fn cmd_train(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_summarize(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let dir = PathBuf::from(opts.require("--dir")?);
     let trip_file = opts.require("--trip")?;
     let k: usize = opts.parse("--k", 0)?;
@@ -954,7 +978,7 @@ fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
     let points = load_trip_points(&trip_path, obs)?;
 
     let stack = Stack::from_config(load_world_config(&dir)?, obs);
-    let summarizer = stack.summarizer(&opts)?;
+    let summarizer = stack.summarizer(opts)?;
     let summary = summarize_points_cmd(&summarizer, points, k)?;
 
     println!("{}", summary.text);
@@ -967,8 +991,7 @@ fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_group(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_group(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let dir = PathBuf::from(opts.require("--dir")?);
     let min_share: f64 = opts.parse("--min-share", 0.15)?;
 
@@ -993,7 +1016,7 @@ fn cmd_group(args: &[String], obs: &Obs) -> Result<(), String> {
     }
 
     let stack = Stack::from_config(load_world_config(&dir)?, obs);
-    let summarizer = stack.summarizer(&opts)?;
+    let summarizer = stack.summarizer(opts)?;
     let group = summarizer.summarize_group(&trips, min_share).map_err(|e| e.to_string())?;
     println!("{}", group.text);
     println!(
@@ -1006,8 +1029,7 @@ fn cmd_group(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_search(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let dir = PathBuf::from(opts.require("--dir")?);
     let query = opts.require("--query")?;
     let top: usize = opts.parse("--top", 5)?;
@@ -1017,7 +1039,7 @@ fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
         return Err(format!("no trip_*.csv files in {}", dir.display()));
     }
     let stack = Stack::from_config(load_world_config(&dir)?, obs);
-    let summarizer = stack.summarizer(&opts)?;
+    let summarizer = stack.summarizer(opts)?;
 
     let mut names = Vec::new();
     let mut texts = Vec::new();
@@ -1051,8 +1073,7 @@ fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
 }
 
 /// Serves the summarization stack over HTTP until `POST /shutdown`.
-fn cmd_serve(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+fn cmd_serve(opts: &Opts<'_>, obs: &Obs) -> Result<(), String> {
     let dir = PathBuf::from(opts.require("--dir")?);
     let addr = opts.get("--addr").unwrap_or("127.0.0.1:8080").to_owned();
     let workers: usize = opts.parse("--workers", 0)?;
@@ -1069,7 +1090,7 @@ fn cmd_serve(args: &[String], obs: &Obs) -> Result<(), String> {
     let model = match opts.get("--model") {
         Some(path) => {
             eprintln!("loading model {path}…");
-            load_model(path, &opts)?
+            load_model(path, opts)?
         }
         None => stack.train(n_train).into_model(),
     };

@@ -203,3 +203,15 @@ fn model_from_another_world_is_a_runtime_error() {
     );
     assert!(stderr.contains(&expect), "{stderr}");
 }
+
+#[test]
+fn unknown_options_are_usage_errors() {
+    // `--route-cache` was removed when the route cache became always-on; a
+    // script still passing it must hear about it rather than run.
+    for (flag, value) in [("--bogus", "3"), ("--route-cache", "64")] {
+        let (code, stdout, stderr) = run(&["demo", flag, value]);
+        assert_eq!(code, 64, "{flag}: {stderr}");
+        assert!(stdout.is_empty(), "{flag}: {stdout}");
+        assert!(stderr.contains(&format!("unknown option {flag}")), "{stderr}");
+    }
+}

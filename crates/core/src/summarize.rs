@@ -197,9 +197,7 @@ pub struct TrainedModel {
     /// Size of the landmark registry the model was trained against.
     /// Landmark ids are positional, so loading a model against a registry of
     /// a different size would silently rename every landmark;
-    /// [`Summarizer::try_from_model`] rejects the mismatch. 0 in models saved by
-    /// older versions (check skipped).
-    #[serde(default)]
+    /// [`Summarizer::try_from_model`] rejects the mismatch.
     pub registry_len: usize,
 }
 
@@ -285,10 +283,9 @@ pub struct Summarizer<'a> {
     route_cache: CachedRoutes,
 }
 
-/// Checks that `model` was trained against a registry of `registry`'s size
-/// (0 = legacy model, check skipped).
+/// Checks that `model` was trained against a registry of `registry`'s size.
 fn check_model(model: &TrainedModel, registry: &LandmarkRegistry) -> Result<(), SummarizeError> {
-    if model.registry_len != 0 && model.registry_len != registry.len() {
+    if model.registry_len != registry.len() {
         return Err(SummarizeError::ModelMismatch {
             model: model.registry_len,
             registry: registry.len(),
@@ -924,18 +921,55 @@ mod tests {
         );
     }
 
-    #[test]
-    fn empty_model_serializes_and_parses() {
-        let model = TrainedModel {
+    fn empty_model() -> TrainedModel {
+        TrainedModel {
             popular: PopularRoutes::build(&[], PopularRouteConfig::default()),
             featmap: HistoricalFeatureMap::new(),
             n_trained: 0,
             registry_len: 0,
-        };
-        let json = model.to_json();
+        }
+    }
+
+    #[test]
+    fn empty_model_serializes_and_parses() {
+        let json = empty_model().to_json();
         let back = TrainedModel::from_json(&json).expect("round-trips");
         assert_eq!(back.n_trained, 0);
         assert_eq!(back.to_json(), json, "canonical form is stable");
         assert!(TrainedModel::from_json("{broken").is_err());
+    }
+
+    #[test]
+    fn model_missing_a_precomputed_table_or_registry_size_is_refused() {
+        let json = empty_model().to_json();
+        for field in ["\"supports\":[],", "\"winners\":[],", ",\"registry_len\":0"] {
+            let stripped = json.replacen(field, "", 1);
+            assert_ne!(stripped, json, "{field} is in the canonical form");
+            assert!(TrainedModel::from_json(&stripped).is_err(), "parsed without {field}");
+        }
+    }
+
+    #[test]
+    fn zero_registry_len_is_checked_like_any_other_size() {
+        let net = RoadNetwork::new();
+        let assemble = |registry: &LandmarkRegistry| {
+            let features = crate::standard_features();
+            let weights = FeatureWeights::uniform(&features);
+            let cfg = SummarizerConfig::default();
+            Summarizer::try_from_model(&net, registry, empty_model(), features, weights, cfg).err()
+        };
+        assert!(assemble(&LandmarkRegistry::from_landmarks(Vec::new())).is_none());
+        let depot = stmaker_poi::Landmark {
+            id: LandmarkId(0),
+            point: stmaker_geo::GeoPoint::new(39.9, 116.4),
+            name: "the Depot".to_owned(),
+            kind: stmaker_poi::LandmarkKind::TurningPoint,
+            significance: 0.0,
+        };
+        let err = assemble(&LandmarkRegistry::from_landmarks(vec![depot]));
+        assert!(
+            matches!(err, Some(SummarizeError::ModelMismatch { model: 0, registry: 1 })),
+            "{err:?}"
+        );
     }
 }

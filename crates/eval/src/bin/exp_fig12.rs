@@ -7,9 +7,11 @@
 //! symbolic size and across k ∈ 1..=7.
 //!
 //! The run also collects per-stage telemetry (spans + counters +
-//! histograms) through `stmaker-obs` and writes it as `BENCH_obs.json`
-//! (override the path with `STMAKER_OBS_OUT`), the same schema the CLI's
-//! `--metrics-json` and the bench crate's `obs_report` bench emit.
+//! histograms) through `stmaker-obs` and writes it to
+//! `experiments/out/fig12_obs.json` (override the path with
+//! `STMAKER_OBS_OUT`), the same schema the CLI's `--metrics-json` and the
+//! bench crate's `obs_report` bench emit. The committed `BENCH_obs.json`
+//! baseline comes from `obs_report` only.
 
 use serde::Serialize;
 use stmaker::{standard_features, FeatureWeights, SummarizerConfig};
@@ -29,8 +31,7 @@ fn main() {
     println!("# Fig. 12 — summarization time cost (scale: {})", scale.label);
     let h = Harness::new(scale);
     // Journal-backed so the run matches the obs_report bench schema
-    // (exemplars from the batch leg, obs.events_dropped counter) — both
-    // write the same BENCH_obs.json baseline that CI diffs against.
+    // (exemplars from the batch leg, obs.events_dropped counter).
     let obs = Recorder::enabled_with_journal(stmaker_obs::DEFAULT_JOURNAL_CAPACITY);
     let features = standard_features();
     let weights = FeatureWeights::uniform(&features);
@@ -96,7 +97,8 @@ fn main() {
     // summarization), in the shared stmaker-obs report schema.
     let report = obs.report();
     println!("\n{}", stmaker_obs::stats::render(&report));
-    let obs_path = std::env::var("STMAKER_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_owned());
+    let obs_path = std::env::var("STMAKER_OBS_OUT")
+        .unwrap_or_else(|_| "experiments/out/fig12_obs.json".to_owned());
     match report.write_json(&obs_path) {
         Ok(()) => println!("wrote {obs_path}"),
         Err(e) => eprintln!("warning: cannot write {obs_path}: {e}"),

@@ -49,17 +49,13 @@ pub struct PopularRoutes {
     #[serde(with = "crate::serde_vecmap")]
     transfers: HashMap<LandmarkId, Vec<(LandmarkId, f64)>>,
     /// Distinct-trajectory support per pair, precomputed at build time so
-    /// [`PopularRoutes::support`] is a single lookup. Empty when loaded
-    /// from a model file written before this field existed; `support()`
-    /// then falls back to scanning the occurrence list.
-    #[serde(with = "crate::serde_vecmap", default)]
+    /// [`PopularRoutes::support`] is a single lookup.
+    #[serde(with = "crate::serde_vecmap")]
     supports: HashMap<(LandmarkId, LandmarkId), u32>,
     /// Precomputed winning route per pair whose support reaches
     /// `min_support`, so the common serving-path query is a single map
-    /// probe instead of re-hashing every occurrence slice. Empty when
-    /// loaded from a model file written before this field existed;
-    /// `popular_route` then falls back to a (single) occurrence scan.
-    #[serde(with = "crate::serde_vecmap", default)]
+    /// probe instead of re-hashing every occurrence slice.
+    #[serde(with = "crate::serde_vecmap")]
     winners: HashMap<(LandmarkId, LandmarkId), Vec<LandmarkId>>,
     cfg: PopularRouteConfig,
 }
@@ -255,13 +251,7 @@ impl PopularRoutes {
     /// order). A looping trajectory that covers the pair several times
     /// counts once. O(1): precomputed at build time.
     pub fn support(&self, from: LandmarkId, to: LandmarkId) -> usize {
-        if !self.supports.is_empty() {
-            return self.supports.get(&(from, to)).copied().unwrap_or(0) as usize;
-        }
-        // Model files written before the precomputed table existed: the
-        // occurrence lists are stored in ascending trajectory order, so a
-        // linear run count gives the distinct-trajectory support.
-        self.pairs.get(&(from, to)).map(|v| distinct_trajs(v) as usize).unwrap_or(0)
+        self.supports.get(&(from, to)).copied().unwrap_or(0) as usize
     }
 
     /// The most popular historical route from `from` to `to`, inclusive of
@@ -276,30 +266,10 @@ impl PopularRoutes {
         if let Some(winner) = self.winners.get(&(from, to)) {
             return Some(winner.clone());
         }
-        // No precomputed winner: the pair is below min_support (or the
-        // model file predates the winners table, leaving it empty). Scan
-        // the occurrence list at most once, reusing the result for both
-        // the support gate and the last-resort fallback.
-        let mut scanned: Option<(u32, Option<Vec<LandmarkId>>)> = None;
-        if self.winners.is_empty() {
-            scanned = self.pairs.get(&(from, to)).map(|occ| scan_pair(&self.corpus, occ));
-            if let Some((support, winner)) = &scanned {
-                if *support as usize >= self.cfg.min_support {
-                    if let Some(route) = winner {
-                        return Some(route.clone());
-                    }
-                }
-            }
-        }
+        // No precomputed winner: the pair is below min_support.
         self.max_probability_route(from, to).or_else(|| {
             // Last resort: any exact occurrence, even below min_support.
-            match scanned {
-                Some((_, winner)) => winner,
-                None => self
-                    .pairs
-                    .get(&(from, to))
-                    .and_then(|occ| most_frequent_exact(&self.corpus, occ)),
-            }
+            self.pairs.get(&(from, to)).and_then(|occ| most_frequent_exact(&self.corpus, occ))
         })
     }
 
@@ -372,32 +342,18 @@ impl PopularRoutes {
 /// stores). Ties break by count, then longer, then lexicographically
 /// smaller — a total order, so builds are reproducible.
 fn most_frequent_exact(corpus: &[Vec<LandmarkId>], occ: &[Occurrence]) -> Option<Vec<LandmarkId>> {
-    scan_pair(corpus, occ).1
-}
-
-/// One pass over an occurrence list yielding the two facts `popular_route`
-/// needs: the distinct-trajectory support and the most frequent concrete
-/// sequence. Folding them keeps the fallback path at a single scan.
-fn scan_pair(corpus: &[Vec<LandmarkId>], occ: &[Occurrence]) -> (u32, Option<Vec<LandmarkId>>) {
     let mut counts: HashMap<&[LandmarkId], usize> = HashMap::new();
-    let mut distinct = 0u32;
-    let mut last = None;
     for o in occ {
-        if last != Some(o.traj) {
-            distinct += 1;
-            last = Some(o.traj);
-        }
         let seq = &corpus[o.traj as usize][o.start as usize..=o.end as usize];
         *counts.entry(seq).or_insert(0) += 1;
     }
-    let winner = counts
+    counts
         // lint: ordered — max_by applies a total order (count, length, lexicographic) so the reduction is order-free
         .into_iter()
         .max_by(|a, b| {
             a.1.cmp(&b.1).then_with(|| b.0.len().cmp(&a.0.len())).then_with(|| b.0.cmp(a.0))
         })
-        .map(|(seq, _)| seq.to_vec());
-    (distinct, winner)
+        .map(|(seq, _)| seq.to_vec())
 }
 
 /// Distinct trajectory ids in an occurrence list. Occurrences are inserted
@@ -537,31 +493,6 @@ mod tests {
             ))
             .expect("serializes");
             assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn winner_probe_matches_legacy_scan_path() {
-        // A model file written before the winners/supports tables existed
-        // deserializes with both empty; answers must not change.
-        let corpus: Vec<SymbolicTrajectory> = (0..60)
-            .map(|i| {
-                let ids: Vec<u32> = (0..5).map(|j| (i * 5 + j * 2) % 23).collect();
-                traj(&ids)
-            })
-            .collect();
-        let pr = PopularRoutes::build(&corpus, PopularRouteConfig::default());
-        let mut legacy = PopularRoutes::build(&corpus, PopularRouteConfig::default());
-        legacy.winners = HashMap::new();
-        legacy.supports = HashMap::new();
-        for a in 0..23 {
-            for b in 0..23 {
-                assert_eq!(
-                    pr.popular_route(l(a), l(b)),
-                    legacy.popular_route(l(a), l(b)),
-                    "pair ({a},{b})"
-                );
-            }
         }
     }
 

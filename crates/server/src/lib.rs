@@ -177,15 +177,22 @@ impl BodyFormat {
     }
 }
 
+/// Writes `resp` and sends FIN. Dropping the stream afterwards closes it
+/// cleanly only when the request was read in full: see
+/// [`respond_and_close`].
+fn respond(stream: &mut TcpStream, resp: &Response) {
+    let _ = resp.write_to(stream);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+}
+
 /// Writes `resp` and closes `stream` without losing the response to a TCP
 /// reset: closing a socket with unread received data RSTs the connection,
 /// which can discard the response out of the peer's receive buffer — the
-/// rejection paths answer *before* reading the request, so they would hit
-/// exactly that. Send FIN first, then drain (bounded) until the peer
-/// closes.
+/// rejection paths answer *before* reading the request, and a failed read
+/// may leave bytes behind, so they would hit exactly that. Send FIN first,
+/// then drain (bounded) until the peer closes.
 fn respond_and_close(mut stream: TcpStream, resp: &Response) {
-    let _ = resp.write_to(&mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+    respond(&mut stream, resp);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut sink = [0u8; 4096];
     for _ in 0..64 {
@@ -380,6 +387,7 @@ impl<'w> Server<'w> {
         // lint: wallclock — latency feeds serve.request_ms/serve.request in the recorder only; no response reads the clock
         let t0 = std::time::Instant::now();
         let parsed = http::read_request(&mut stream, self.cfg.max_body_bytes);
+        let read_in_full = parsed.is_ok();
         let resp = match parsed {
             Ok(req) => {
                 self.obs.add("serve.requests", 1);
@@ -412,7 +420,13 @@ impl<'w> Server<'w> {
         let dt = t0.elapsed();
         self.obs.observe_ms("serve.request_ms", dt.as_secs_f64() * 1e3);
         self.obs.span_observed("serve.request", dt);
-        respond_and_close(stream, &resp);
+        // A fully read request leaves nothing unread, so the worker need
+        // not wait for the client to close.
+        if read_in_full {
+            respond(&mut stream, &resp);
+        } else {
+            respond_and_close(stream, &resp);
+        }
     }
 
     // -- generation slot ---------------------------------------------------

@@ -301,6 +301,31 @@ fn full_queue_answers_429() {
     });
 }
 
+/// A client that has read its response but keeps the connection open
+/// does not hold the only worker: the request was read in full, so the
+/// worker closes without waiting for the client.
+#[test]
+fn idle_open_connection_does_not_stall_the_worker() {
+    let fx = Fixture::new();
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(20, 1001),
+        SummarizerConfig::default(),
+        ServeConfig { workers: 1, ..ServeConfig::default() },
+    )
+    .expect("bind");
+    with_running(&server, |addr| {
+        let (_held, raw) = exchange(addr, "GET", "/healthz", b"");
+        assert_eq!(parse_response(&raw).0, 200);
+        let t0 = std::time::Instant::now();
+        let (status, _) = request(addr, "GET", "/healthz", b"");
+        let waited = t0.elapsed();
+        assert_eq!(status, 200);
+        assert!(waited < Duration::from_millis(150), "second client waited {waited:?}");
+    });
+}
+
 /// `POST /shutdown` drains: the response arrives, `run` returns (the
 /// harness scope joins), and the listener stops accepting.
 #[test]
@@ -433,11 +458,10 @@ fn metrics_reports_serve_counters() {
 /// Every response a client has read is counted by the next `/metrics`
 /// scrape: responses, bytes out, the `serve.request` span and the
 /// `serve.request_ms` histogram are all recorded before the response's
-/// first byte is written. The client keeps each `/summarize` connection
-/// open until after its scrape, so the worker that served it is still
-/// draining that connection while the second worker answers the scrape —
-/// with one worker the scrape would wait behind the drain and could not
-/// tell recording before the write from recording after it.
+/// first byte is written. With two workers the scrape can run while the
+/// worker that served the `/summarize` is still finishing it; with one
+/// worker the scrape would queue behind that worker and could not tell
+/// recording before the write from recording after it.
 #[test]
 fn metrics_scrape_counts_every_completed_response() {
     let fx = Fixture::new();
